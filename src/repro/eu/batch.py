@@ -9,16 +9,27 @@ at the same program counter — and records, per thread, a compact issue
 trace that :mod:`repro.eu.replay` then pushes through the unchanged
 cycle-accurate timing model.
 
+Threads are scheduled MinPC, the reconvergence heuristic surveyed in
+*Control Flow Management in Modern GPUs* (arxiv 2407.02944): each step
+runs only the group of active threads sitting at the lowest pc, in
+ascending thread id.  Threads that diverge in a loop wait at the lower
+pc until the stragglers catch up, so they reconverge into wide numpy
+groups instead of drifting apart into many narrow ones.  A thread that
+never leaves a loop starves the rest, so a per-thread instruction
+budget derived from ``max_cycles`` is the deadlock net.
+
 Why this is sound: the timing model (arbiter, pipes, scoreboard, memory
 hierarchy, compaction policies) consumes only each instruction's
 ``(pc, exec_mask)`` plus the memory lines it touches — never register
-values.  The cross-policy verification harness already pins that
-architectural results are interleaving-independent (identical digests
-across RAW/IVB/BCC/SCC, whose timings interleave threads differently),
-so the canonical lockstep interleaving used here (all threads at the
-smallest pc first, ascending thread id within a wavefront) produces the
-same buffers, flags, and per-thread mask streams as the interleaved
-interpreter.
+values.  On a race-free launch every thread's instruction stream, and
+every value it reads, is fixed by the program and the barrier rule
+alone, so *any* legal schedule — the interleaved interpreter's timed
+order, or MinPC here — produces the same buffers, flags, and per-thread
+mask streams.  The cross-policy verification harness pins exactly that
+(identical digests across RAW/IVB/BCC/SCC, whose timings interleave
+threads differently).  Launches with benign races (level-synchronous
+BFS) may resolve a race differently; their buffers still match and
+their cycles stay within the engine-parity tolerance.
 
 Trace schema — one entry per issued instruction, ``(pc, mask, aux)``:
 
@@ -59,7 +70,7 @@ __all__ = ["run_functional"]
 #: Per-thread functional status codes (plain ints for numpy storage).
 _ACTIVE, _AT_BARRIER, _DONE = 0, 1, 2
 
-#: Wall-clock deadline polling period, in wavefronts.
+#: Wall-clock deadline polling period, in scheduling steps.
 _WALL_CHECK_PERIOD = 64
 
 TraceEntry = Tuple[int, int, object]
@@ -89,7 +100,7 @@ def run_functional(
 
 
 class _BatchEngine:
-    """Vectorized lockstep interpreter over every thread of one launch."""
+    """Vectorized MinPC interpreter over every thread of one launch."""
 
     def __init__(self, program, global_size, local_size, surfaces, scalars,
                  config, wall_deadline):
@@ -192,59 +203,68 @@ class _BatchEngine:
 
     def run(self) -> List[List[TraceEntry]]:
         status = self.status
-        # One wavefront issues at most one instruction per active thread,
-        # and the interleaved core issues at most one instruction per
-        # thread per issue period — so the cycle budget translates to a
-        # wavefront budget without loosening the deadlock net.
-        max_wavefronts = self.config.max_cycles // max(1, self.config.issue_period) + 1
-        wavefront = 0
+        pc = self.pc
+        traces = self.traces
+        instructions = self.instructions
+        # The interleaved core issues at most one instruction per thread
+        # per issue period, so no thread of a launch that finishes within
+        # max_cycles retires more than this many instructions.  Each
+        # step below adds at most one trace entry per thread, so a
+        # thread can only be over budget once the step count is too.
+        budget = self.config.max_cycles // max(1, self.config.issue_period) + 1
+        # MinPC scheduling key: a thread's pc while it is active, else a
+        # sentinel above every pc (at a barrier, or retired).
+        idle = np.iinfo(np.int64).max
+        key = pc.copy()
+        step = 0
         while True:
-            active = np.nonzero(status == _ACTIVE)[0]
-            if active.size == 0:
+            low = int(key.min())
+            if low == idle:
                 if bool(np.all(status == _DONE)):
-                    return self.traces
+                    return traces
                 raise DeadlockError(
                     f"kernel {self.program.name!r} stalled in the functional "
                     f"pass: every live thread is waiting at a barrier"
                 )
-            pcs = self.pc[active]
-            order = np.argsort(pcs, kind="stable")
-            rows_sorted = active[order]
-            pcs_sorted = pcs[order]
-            start = 0
-            total = rows_sorted.size
-            while start < total:
-                pc = int(pcs_sorted[start])
-                end = int(np.searchsorted(pcs_sorted, pc, side="right"))
-                self._exec_group(pc, rows_sorted[start:end])
-                start = end
-            self._release_barriers()
-            wavefront += 1
-            if wavefront > max_wavefronts:
-                raise DeadlockError(
-                    f"kernel {self.program.name!r} exceeded "
-                    f"max_cycles={self.config.max_cycles} (functional pass)"
-                )
+            rows = np.flatnonzero(key == low)
+            self._exec_group(low, rows)
+            op = instructions[low].opcode
+            if op is Opcode.BARRIER or op is Opcode.EOT:
+                # The only steps that change a workgroup's arrival state.
+                key[rows] = idle
+                self._release_barriers(rows, key)
+            else:
+                key[rows] = pc[rows]
+            step += 1
+            if step > budget:
+                for row in rows.tolist():
+                    if len(traces[row]) > budget:
+                        raise DeadlockError(
+                            f"kernel {self.program.name!r}: thread {row} "
+                            f"exceeded its instruction budget of {budget}, "
+                            f"derived from max_cycles="
+                            f"{self.config.max_cycles} (functional pass)"
+                        )
             if (self.wall_deadline is not None
-                    and wavefront % _WALL_CHECK_PERIOD == 0
+                    and step % _WALL_CHECK_PERIOD == 0
                     and time.monotonic() > self.wall_deadline):
                 raise JobTimeoutError(
                     f"kernel {self.program.name!r} exceeded its wall-clock "
-                    f"budget in the functional pass (wavefront {wavefront})"
+                    f"budget in the functional pass (step {step})"
                 )
 
-    def _release_barriers(self) -> None:
+    def _release_barriers(self, rows: np.ndarray, key: np.ndarray) -> None:
+        """Open the barriers of *rows*' workgroups that every thread reached."""
         status = self.status
-        waiting = np.nonzero(status == _AT_BARRIER)[0]
-        if waiting.size == 0:
-            return
-        for wg in np.unique(self.wg_of[waiting]):
-            rows = self._wg_rows[wg]
-            st = status[rows]
+        for wg in np.unique(self.wg_of[rows]):
+            wg_rows = self._wg_rows[wg]
+            st = status[wg_rows]
             # Same release rule as WorkgroupInstance._maybe_release: the
             # barrier opens once every non-retired thread has arrived.
             if not np.any(st == _ACTIVE):
-                status[rows[st == _AT_BARRIER]] = _ACTIVE
+                opened = wg_rows[st == _AT_BARRIER]
+                status[opened] = _ACTIVE
+                key[opened] = self.pc[opened]
 
     # -- per-group execution --------------------------------------------------
 
@@ -474,9 +494,9 @@ class _BatchEngine:
         enabled = self._enabled(exec_masks, width)
 
         # Same validation as interp._checked_indices, vectorized over the
-        # group; the canonical issue order makes "first offending lane"
-        # the lowest (thread, lane) pair.  The uint64 domain folds the
-        # negative-offset case into the range check.
+        # group; ascending thread order within a step makes "first
+        # offending lane" the lowest (thread, lane) pair.  The uint64
+        # domain folds the negative-offset case into the range check.
         unsigned = offsets.astype(np.uint64)
         idx, rem = np.divmod(unsigned, np.uint64(size))
         bad = rem != 0
@@ -506,8 +526,8 @@ class _BatchEngine:
                 flat_enabled = enabled.ravel()
                 # Row-major flatten: within a row the highest lane wins
                 # (the hardware's quad write-back order); across rows
-                # the highest thread wins, matching the canonical
-                # ascending issue order.
+                # the highest thread wins, matching the ascending
+                # thread order within a step.
                 view[idx.ravel()[flat_enabled]] = values.ravel()[flat_enabled]
 
         # Validation proved every enabled offset is in range, so the

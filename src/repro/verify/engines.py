@@ -19,11 +19,13 @@ and checks:
 
 Workloads whose ``Workload.mask_deterministic`` is False (benign
 intra-launch races, e.g. level-synchronous BFS) keep the functional
-identity checks but relax the mask statistics and exact cycle equality:
-the fast engine's canonical lockstep interleaving can legitimately
-resolve a benign race differently from the timed interleaving, shifting
-masks and therefore cycles by a fraction of a percent.  Their timed
-totals are still pinned within :data:`ENGINE_TIMING_TOLERANCE`.
+identity checks but relax the mask statistics and exact cycle equality.
+The fast engine schedules its functional pass MinPC (lowest pc first,
+arxiv 2407.02944).  On a race-free workload any legal schedule gives
+the same values, so that order cannot matter; a benign race, though,
+can resolve differently from the timed interleaving, shifting masks and
+therefore cycles by a fraction of a percent.  Their timed totals are
+still pinned within :data:`ENGINE_TIMING_TOLERANCE`.
 """
 
 from __future__ import annotations

@@ -9,21 +9,70 @@ spinning forever.
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, JobTimeoutError
-from repro.gpu.config import GpuConfig
+from repro.gpu.config import ENGINES, GpuConfig
+from repro.isa.builder import KernelBuilder
+from repro.isa.registers import FlagRef
+from repro.isa.types import CmpOp, DType
 from repro.kernels import WORKLOAD_REGISTRY, run_workload
 from repro.kernels.faults import spin_forever
+from repro.kernels.workload import LaunchStep, Workload
+
+
+def divergent_spin(threads: int = 4, simd_width: int = 8) -> Workload:
+    """Thread 0 loops forever; every other thread leaves the loop and retires.
+
+    Under the fast engine's lowest-pc-first schedule the spinning thread
+    always holds the lowest pc, so the others never run again and only
+    the per-thread instruction budget stops the functional pass.
+    """
+    b = KernelBuilder("divergent_spin", simd_width)
+    gid = b.global_id()
+    sy = b.surface_arg("y")
+    it = b.mov(b.vreg(DType.I32), 0)
+    b.do_()
+    b.add(it, it, 1)
+    again = b.cmp(CmpOp.LT, gid, simd_width, flag=FlagRef(1))
+    b.while_(again)
+    b.store(it, b.shl(b.vreg(DType.I32), gid, 2), sy)
+    n = threads * simd_width
+    return Workload(
+        name="divergent_spin",
+        program=b.finish(),
+        buffers={"y": np.zeros(n, dtype=np.int32)},
+        steps=[LaunchStep(global_size=n, local_size=simd_width)],
+        check=None,
+        category="fault",
+        description="one thread spins while the rest retire",
+    )
 
 
 class TestCycleBudget:
-    def test_infinite_loop_trips_max_cycles(self):
-        config = GpuConfig(max_cycles=20_000)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_infinite_loop_trips_max_cycles(self, engine):
+        config = GpuConfig(max_cycles=20_000, engine=engine)
         start = time.monotonic()
         with pytest.raises(DeadlockError, match="max_cycles"):
             run_workload(spin_forever(), config)
         assert time.monotonic() - start < 30  # died promptly, not at 20M
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_divergent_spin_trips_max_cycles(self, engine):
+        config = GpuConfig(max_cycles=20_000, engine=engine)
+        start = time.monotonic()
+        with pytest.raises(DeadlockError, match="max_cycles"):
+            run_workload(divergent_spin(), config)
+        assert time.monotonic() - start < 30
+
+    def test_fast_budget_names_the_thread(self):
+        config = GpuConfig(max_cycles=2_000, engine="fast")
+        with pytest.raises(DeadlockError,
+                           match=r"thread 0 exceeded its instruction budget "
+                                 r"of 1001, derived from max_cycles=2000"):
+            run_workload(divergent_spin(), config)
 
     def test_deadlock_importable_from_simulator_module(self):
         # Back-compat: DeadlockError predates repro.errors and used to
@@ -34,23 +83,26 @@ class TestCycleBudget:
         assert issubclass(DeadlockError, RuntimeError)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 class TestWallClock:
-    def test_infinite_loop_trips_wall_budget(self):
+    def test_infinite_loop_trips_wall_budget(self, engine):
         start = time.monotonic()
         with pytest.raises(JobTimeoutError, match="wall-clock"):
-            run_workload(spin_forever(), GpuConfig(), host_seconds=0.3)
+            run_workload(spin_forever(), GpuConfig(engine=engine),
+                         host_seconds=0.3)
         assert time.monotonic() - start < 10
 
-    def test_budget_checked_between_launch_steps(self):
+    def test_budget_checked_between_launch_steps(self, engine):
         # fault_sleep blocks in host code between steps; the per-step
         # deadline check catches the overrun once the sleep returns.
         workload = WORKLOAD_REGISTRY["fault_sleep"](seconds=0.5)
         with pytest.raises(JobTimeoutError):
-            run_workload(workload, GpuConfig(), host_seconds=0.2)
+            run_workload(workload, GpuConfig(engine=engine),
+                         host_seconds=0.2)
 
-    def test_generous_budget_does_not_fire(self):
-        result = run_workload(WORKLOAD_REGISTRY["va"](), GpuConfig(),
-                              host_seconds=300.0)
+    def test_generous_budget_does_not_fire(self, engine):
+        result = run_workload(WORKLOAD_REGISTRY["va"](),
+                              GpuConfig(engine=engine), host_seconds=300.0)
         assert result.total_cycles > 0
 
 

@@ -162,6 +162,82 @@ class TestRandomProgramParity:
         _assert_parity(*_run_both(program, global_size, buffers))
 
 
+
+def _barrier_program(width, local_size):
+    """Divergent trip counts before a BARRIER, then cross-thread SLM reads.
+
+    Each thread of a four-thread workgroup loops a lane- and
+    thread-dependent number of times and publishes its result to SLM.
+    Thread 1 then waits at the first barrier while threads 0 and 2 loop
+    again, overwrite their slots and meet it at a second barrier site;
+    afterwards each reads the slot of the next thread.  Thread 1's read
+    sits at a lower pc than the overwrites, so only a barrier that holds
+    it until the others arrive lets it see the new value.  Thread 3
+    skips both barriers and reaches EOT early, so the barrier opens on
+    the retired-thread rule.
+    """
+    b = KernelBuilder("barrier_mix", width, slm_bytes=local_size * 4)
+    out = b.surface_arg("out")
+    gid = b.global_id()
+    lid = b.local_id()
+    trips = b.and_(b.vreg(DType.I32), b.add(b.vreg(DType.I32),
+                                             b.shr(b.vreg(DType.I32), gid, 1),
+                                             gid), 15)
+    acc = b.mov(b.vreg(DType.F32), 0.0)
+    slot = b.shl(b.vreg(DType.I32), lid, 2)
+    neighbour = b.add(b.vreg(DType.I32), lid, width)
+    b.and_(neighbour, neighbour, local_size - 1)
+    b.shl(neighbour, neighbour, 2)
+    out_addr = b.shl(b.vreg(DType.I32), gid, 2)
+
+    def divergent_loop():
+        it = b.mov(b.vreg(DType.I32), 0)
+        b.do_()
+        b.add(it, it, 1)
+        b.mad(acc, acc, 0.5, 1.25)
+        again = b.cmp(CmpOp.LT, it, trips, flag=FlagRef(1))
+        b.while_(again)
+        b.store_slm(acc, slot)
+
+    def read_neighbour():
+        b.store(b.load_slm(b.vreg(DType.F32), neighbour), out_addr, out)
+
+    divergent_loop()
+    stays = b.cmp(CmpOp.LT, lid, local_size - width, flag=FlagRef(1))
+    with b.if_(stays):
+        waits = b.cmp(CmpOp.NE, b.and_(b.vreg(DType.I32), lid, width), 0,
+                      flag=FlagRef(1))
+        with b.if_(waits):
+            b.barrier()
+            read_neighbour()
+            b.else_()
+            b.add(trips, trips, 3)
+            divergent_loop()
+            b.barrier()
+            read_neighbour()
+    return b.finish()
+
+
+class TestBarrierParity:
+    """Barriers after divergent loops release identically on both engines."""
+
+    @pytest.mark.parametrize("width", (8, 16))
+    def test_divergent_arrival_then_slm_exchange(self, width):
+        local_size = width * 4
+        global_size = local_size * 3
+
+        def buffers():
+            return {"out": np.full(global_size, -1.0, dtype=np.float32)}
+
+        interp, fast = _run_both(_barrier_program(width, local_size),
+                                 global_size, buffers, local_size=local_size)
+        _assert_parity(interp, fast)
+        out = fast[1]["out"].reshape(3, 4, width)
+        # Three threads per workgroup read the next thread's SLM slot;
+        # the fourth retired before the barrier and left its output.
+        assert np.all(out[:, :3] > 0.0)
+        assert np.all(out[:, 3] == -1.0)
+
 def _fault_program(width, offsets, dtype=DType.F32, store=False):
     """Kernel that gathers (or scatters) from fixed per-lane offsets."""
     b = KernelBuilder("fault", width)
