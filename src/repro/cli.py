@@ -1107,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
     status = csub.add_parser("status", help="one job's status")
     status.add_argument("job_id")
 
-    watch = csub.add_parser("watch", help="poll a job to completion")
+    watch = csub.add_parser("watch", help="long-poll a job to completion")
     watch.add_argument("job_id")
     watch.add_argument("--watch-timeout", type=float, default=300.0,
                        metavar="SEC")

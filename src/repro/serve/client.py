@@ -4,8 +4,8 @@ Thin stdlib-``http.client`` wrapper used by the ``repro client`` CLI,
 the ``repro worker`` fleet process, the test-suite, and the CI smoke
 jobs.  Every method returns the decoded JSON body; non-2xx responses
 raise :class:`ServeClientError` carrying the HTTP status and the
-daemon's error message, and :meth:`ServeClient.watch` polls a job to a
-terminal state.
+daemon's error message, and :meth:`ServeClient.watch` long-polls a job
+to a terminal state.
 
 Transient failures are retried *transparently*: connection resets and
 refusals (``OSError``), 429 rate limiting, and 503 backpressure back
@@ -29,7 +29,8 @@ from urllib.parse import quote
 
 from ..errors import CacheMissError, ServiceError
 
-#: Poll period for :meth:`ServeClient.watch` (seconds).
+#: Pause before :meth:`ServeClient.watch` asks again after a daemon
+#: answered a long-poll early without a terminal state (draining).
 WATCH_INTERVAL = 0.25
 
 TERMINAL = ("done", "failed", "cancelled")
@@ -76,6 +77,9 @@ class ServeClient:
         self.retries_attempted = 0
         self._rng = random.Random()
         self._sleep = time.sleep  # test seam
+        #: Long-poll window :meth:`status` sends as ``?wait=``; set only
+        #: while :meth:`watch` runs.
+        self._wait: Optional[float] = None
 
     # -- transport ---------------------------------------------------------
 
@@ -170,7 +174,9 @@ class ServeClient:
         return self.request("POST", "/jobs", body=spec)
 
     def status(self, job_id: str) -> Dict[str, Any]:
-        return self.request("GET", f"/jobs/{job_id}")
+        if self._wait is None:
+            return self.request("GET", f"/jobs/{job_id}")
+        return self.request("GET", f"/jobs/{job_id}?wait={self._wait}")
 
     def result(self, job_id: str) -> Dict[str, Any]:
         return self.request("GET", f"/jobs/{job_id}/result")
@@ -269,21 +275,36 @@ class ServeClient:
 
     def watch(self, job_id: str, timeout: float = 300.0,
               interval: float = WATCH_INTERVAL) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns it.
+        """Long-poll until the job reaches a terminal state; returns it.
+
+        Each :meth:`status` call parks daemon-side (``GET
+        /jobs/{id}?wait=S``) until the job is terminal or ``S`` passes.
+        ``S`` is the time left before the deadline, capped at half the
+        socket timeout so a parked read never times out into a retry.
+        Only a daemon that answers non-terminal before ``S`` is up (it is
+        draining) is asked again after *interval*.
 
         Raises :class:`ServeClientError` (status 0) on deadline — the
         job itself is left alone.
         """
         deadline = time.monotonic() + timeout
-        while True:
-            status = self.status(job_id)
-            if status.get("state") in TERMINAL:
-                return status
-            if time.monotonic() >= deadline:
-                raise ServeClientError(
-                    0, f"job {job_id} still {status.get('state')!r} "
-                       f"after {timeout:g}s")
-            time.sleep(interval)
+        try:
+            while True:
+                asked = time.monotonic()
+                self._wait = max(0.0, min(deadline - asked,
+                                          self.timeout / 2))
+                status = self.status(job_id)
+                if status.get("state") in TERMINAL:
+                    return status
+                now = time.monotonic()
+                if now >= deadline:
+                    raise ServeClientError(
+                        0, f"job {job_id} still {status.get('state')!r} "
+                           f"after {timeout:g}s")
+                if now - asked < self._wait:
+                    time.sleep(interval)
+        finally:
+            self._wait = None
 
     def wait_ready(self, timeout: float = 10.0,
                    interval: float = 0.1) -> Dict[str, Any]:

@@ -10,7 +10,8 @@ Routes::
 
     POST   /jobs             submit a JobSpec            -> 202 status
     GET    /jobs             list jobs (?state=&workload=&client=&limit=)
-    GET    /jobs/{id}        job status
+    GET    /jobs/{id}        job status (?wait=S: long-poll until the
+                             job is terminal, at most S <= 60 seconds)
     GET    /jobs/{id}/result typed result payload        (done jobs)
     GET    /jobs/{id}/trace  Chrome trace JSON           (telemetry=trace)
     DELETE /jobs/{id}        cancel a queued job
@@ -134,7 +135,12 @@ class ServeApp:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            raise HttpError(400, "Content-Length must be an integer")
+        if length < 0:
+            raise HttpError(400, "Content-Length must not be negative")
         if length > MAX_BODY:
             raise HttpError(413, f"body larger than {MAX_BODY} bytes")
         raw = await reader.readexactly(length) if length else b""
@@ -167,6 +173,8 @@ class ServeApp:
                 raise HttpError(405, f"{method} not allowed on /jobs")
             job_id = segments[1]
             if len(segments) == 2:
+                if method == "GET" and "wait" in query:
+                    return self._wait_status(job_id, query["wait"])
                 if method == "GET":
                     return 200, self.service.get(job_id).as_status()
                 if method == "DELETE":
@@ -213,6 +221,16 @@ class ServeApp:
         except ValueError as exc:
             raise HttpError(400, str(exc))
         return 202, record.as_status()
+
+    async def _wait_status(self, job_id: str,
+                           wait: str) -> Tuple[int, Dict[str, Any]]:
+        try:
+            seconds = float(wait)
+        except ValueError:
+            raise HttpError(400, f"wait must be a number of seconds, "
+                                 f"not {wait!r}")
+        record = await self.service.wait_terminal(job_id, seconds)
+        return 200, record.as_status()
 
     def _list(self, query: Dict[str, str]) -> Tuple[int, Dict[str, Any]]:
         limit: Optional[int] = None
@@ -364,6 +382,8 @@ async def serve_forever(service: JobService, host: str, port: int,
         await stop.wait()
     finally:
         server.close()
-        await server.wait_closed()
+        # Drain first: it releases parked long-polls, whose connections
+        # wait_closed() may otherwise wait out.
         await service.drain()
+        await server.wait_closed()
     return 0

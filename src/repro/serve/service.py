@@ -17,6 +17,9 @@ long-lived daemon needs on top:
 * **admission control** — a bounded queue (:class:`QueueFullError`,
   HTTP 503) and per-client token-bucket rate limiting
   (:class:`RateLimitError`, HTTP 429);
+* **event-driven completion** — a status long-poll
+  (:meth:`JobService.wait_terminal`) parks until its job turns
+  terminal, woken by the resolution or cancellation itself;
 * **graceful drain** — stop admitting, finish the running batch, leave
   queued jobs journaled for the next daemon;
 * **fleet coordination** — remote ``repro worker`` processes claim
@@ -56,7 +59,7 @@ import time
 import uuid
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import (
     CacheMissError,
@@ -83,6 +86,10 @@ from .journal import ServeJournal
 from .leases import Lease, LeaseTable
 
 _id_counter = itertools.count(1)
+
+#: Longest a long-poll (``POST /work/lease``, ``GET /jobs/{id}?wait=``)
+#: may park its caller, in seconds.
+MAX_WAIT = 60.0
 
 
 class NotCancellableError(ServiceError):
@@ -206,6 +213,9 @@ class JobService:
         self._draining = False
         self._wake: Optional[asyncio.Event] = None
         self._work: Optional[asyncio.Event] = None  # lease long-poll wakeup
+        #: job id -> futures of parked ``GET /jobs/{id}?wait=`` callers,
+        #: completed when the job turns terminal or the daemon drains.
+        self._watchers: Dict[str, Set[asyncio.Future]] = {}
         self._done: Optional[asyncio.Event] = None
         self._task: Optional[asyncio.Task] = None
         self._sweeper: Optional[asyncio.Task] = None
@@ -234,9 +244,12 @@ class JobService:
         pointed at the same data dir re-enqueues the former and restores
         the latter's lease state (the restart recovery the CI smoke
         jobs assert).  Remote workers long-polling for work are released
-        with an empty, ``draining`` response.
+        with an empty, ``draining`` response, and parked status waiters
+        with their job's current state.
         """
         self._draining = True
+        for job_id in list(self._watchers):
+            self._release_watchers(job_id)
         if self._wake is not None:
             self._wake.set()
         if self._work is not None:
@@ -426,6 +439,37 @@ class JobService:
             raise UnknownJobError(f"no job {job_id!r}")
         return record
 
+    async def wait_terminal(self, job_id: str, wait: float) -> JobRecord:
+        """The job's record once it is terminal, or after *wait* seconds.
+
+        The ``GET /jobs/{id}?wait=S`` long-poll: *wait* is clamped to
+        [0, ``MAX_WAIT``].  An unknown id raises at once; a terminal job,
+        or any job on a draining daemon, returns at once.  Waiters are
+        woken per job by :meth:`_release_watchers`, never by a timer.
+        """
+        record = self.get(job_id)
+        wait = min(max(0.0, float(wait)), MAX_WAIT)
+        if record.state in JobState.TERMINAL or self._draining or not wait:
+            return record
+        waiter = asyncio.get_running_loop().create_future()
+        parked = self._watchers.setdefault(job_id, set())
+        parked.add(waiter)
+        try:
+            await asyncio.wait_for(waiter, timeout=wait)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            parked.discard(waiter)
+            if not parked and self._watchers.get(job_id) is parked:
+                del self._watchers[job_id]
+        return record
+
+    def _release_watchers(self, job_id: str) -> None:
+        """Complete every parked status long-poll on *job_id*."""
+        for waiter in self._watchers.pop(job_id, ()):
+            if not waiter.done():
+                waiter.set_result(None)
+
     def list_jobs(self, state: Optional[str] = None,
                   workload: Optional[str] = None,
                   client: Optional[str] = None,
@@ -484,6 +528,7 @@ class JobService:
         record.finished_at = time.time()
         self.counters.incr("serve.jobs.cancelled")
         self.journal.append("cancel", job_id)
+        self._release_watchers(job_id)
         return record
 
     # -- fleet coordination (lease / heartbeat / result / fail) ------------
@@ -500,7 +545,7 @@ class JobService:
         if not isinstance(worker, str) or not worker:
             raise ValueError("lease request needs a 'worker' name")
         max_jobs = max(1, int(max_jobs))
-        wait = min(max(0.0, float(wait)), 60.0)
+        wait = min(max(0.0, float(wait)), MAX_WAIT)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + wait
         while True:
@@ -1042,6 +1087,7 @@ class JobService:
                 result=member.result, trace_path=member.trace_path,
                 error=member.error, exit_code=member.exit_code,
                 worker=record.worker, fence=record.resolved_fence)
+            self._release_watchers(member.id)
 
     def _export_trace(self, record: JobRecord, result) -> Optional[str]:
         from ..telemetry import export_chrome_trace

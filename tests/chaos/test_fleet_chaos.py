@@ -132,7 +132,15 @@ class TestDuplicateResultPost:
         final = client.watch(job["id"], timeout=WAIT)
         assert final["state"] == "done"
         assert final["worker"] == "w1"
-        counters = client.metrics()["counters"]
+        # The echo is posted after the first post resolved the job, so
+        # a long-polling watch can return before it arrives.
+
+        def echoed():
+            counters = client.metrics()["counters"]
+            return counters if "serve.work.duplicate_results" in counters \
+                else None
+
+        counters = wait_for(echoed, message="the duplicate result post")
         assert counters["serve.work.duplicate_results"] == 1.0
         assert counters.get("serve.leases.fence_rejected", 0) == 0
         assert counters["serve.jobs.executed"] == 1.0

@@ -3,7 +3,8 @@
 Exercises :class:`repro.serve.JobService` directly (no HTTP): in-flight
 dedup proven with an execution-counting fault workload, cancellation of
 queued jobs (including primary promotion), journal recovery across a
-simulated restart, and the typed admission-control errors.
+simulated restart, the typed admission-control errors, and the status
+long-poll's wake-ups.
 """
 
 import asyncio
@@ -20,6 +21,7 @@ from repro.serve import (
     RateLimiter,
     UnknownJobError,
 )
+from repro.serve import service as service_module
 
 #: Terminal wait budget for locally-run jobs (generous for slow CI).
 WAIT = 120.0
@@ -356,3 +358,178 @@ class TestSpecValidation:
         status = record.as_status()
         assert status["queue_wait_seconds"] == record.queue_wait
         assert status["exec_seconds"] == record.exec_seconds
+
+
+def _remote_payload():
+    """complete_remote only validates shape; content is the worker's."""
+    return {"schema": 1, "workload": "va", "buffers_digest": "d-x"}
+
+
+async def _park(service, job_id, wait):
+    """Start one status long-poll; returns its task once it is parked."""
+    task = asyncio.create_task(service.wait_terminal(job_id, wait))
+    await asyncio.sleep(0.05)
+    assert not task.done(), "long-poll returned before anything happened"
+    return task
+
+
+async def _woken(task, budget=2.0):
+    """The parked long-poll's record, which must come back within
+    *budget* seconds of the event that should wake it."""
+    tick = time.monotonic()
+    record = await asyncio.wait_for(task, timeout=budget)
+    return record, time.monotonic() - tick
+
+
+class TestStatusLongPoll:
+    """``wait_terminal`` (``GET /jobs/{id}?wait=S``) on a coordinator-only
+    service, so every resolution is driven by the test."""
+
+    def test_remote_result_wakes_parked_waiter(self, tmp_path):
+        async def scenario():
+            service = _service(tmp_path, local_exec=False)
+            await service.start()
+            record = service.submit({"workload": "va"})
+            grant, = await service.lease("w1")
+            task = await _park(service, record.id, 30.0)
+            service.complete_remote(record.id, "w1", grant["fence"],
+                                    _remote_payload())
+            woken, elapsed = await _woken(task)
+            await service.drain()
+            return record, woken, elapsed
+
+        record, woken, elapsed = asyncio.run(scenario())
+        assert woken is record and woken.state == JobState.DONE
+        assert elapsed < 1.0
+        assert record.result == _remote_payload()
+
+    def test_elapsed_wait_returns_non_terminal_status(self, tmp_path):
+        async def scenario():
+            service = _service(tmp_path, local_exec=False)
+            await service.start()
+            record = service.submit({"workload": "va"})
+            tick = time.monotonic()
+            woken = await service.wait_terminal(record.id, 0.3)
+            elapsed = time.monotonic() - tick
+            await service.drain()
+            return woken, elapsed
+
+        woken, elapsed = asyncio.run(scenario())
+        assert woken.state == JobState.QUEUED
+        assert 0.3 <= elapsed < 2.0
+
+    def test_cancel_wakes_parked_waiter(self, tmp_path):
+        async def scenario():
+            service = _service(tmp_path, local_exec=False)
+            await service.start()
+            record = service.submit({"workload": "va"})
+            task = await _park(service, record.id, 30.0)
+            service.cancel(record.id)
+            woken, elapsed = await _woken(task)
+            await service.drain()
+            return woken, elapsed
+
+        woken, elapsed = asyncio.run(scenario())
+        assert woken.state == JobState.CANCELLED
+        assert elapsed < 1.0
+
+    def test_dedup_subscriber_wakes_with_its_primary(self, tmp_path):
+        async def scenario():
+            service = _service(tmp_path, local_exec=False)
+            await service.start()
+            primary = service.submit({"workload": "va"})
+            subscriber = service.submit({"workload": "va"})
+            assert subscriber.dedup_of == primary.id
+            grant, = await service.lease("w1")
+            task = await _park(service, subscriber.id, 30.0)
+            service.complete_remote(primary.id, "w1", grant["fence"],
+                                    _remote_payload())
+            woken, elapsed = await _woken(task)
+            await service.drain()
+            return woken, elapsed
+
+        woken, elapsed = asyncio.run(scenario())
+        assert woken.state == JobState.DONE
+        assert woken.result == _remote_payload()
+        assert elapsed < 1.0
+
+    def test_assignment_cap_wakes_waiters_with_failed(self, tmp_path):
+        async def scenario():
+            service = _service(tmp_path, local_exec=False,
+                               max_assignments=1)
+            await service.start()
+            primary = service.submit({"workload": "va"})
+            subscriber = service.submit({"workload": "va"})
+            grant, = await service.lease("w1")
+            tasks = [await _park(service, job.id, 30.0)
+                     for job in (primary, subscriber)]
+            # A transient failure at the cap fails the whole group.
+            service.fail_remote(primary.id, "w1", grant["fence"],
+                                error="worker lost", transient=True)
+            woken = [await _woken(task) for task in tasks]
+            await service.drain()
+            return woken
+
+        for record, elapsed in asyncio.run(scenario()):
+            assert record.state == JobState.FAILED
+            assert "assignment bound 1" in record.error
+            assert elapsed < 1.0
+
+    def test_drain_releases_parked_waiters_at_once(self, tmp_path):
+        async def scenario():
+            service = _service(tmp_path, local_exec=False)
+            await service.start()
+            record = service.submit({"workload": "va"})
+            task = await _park(service, record.id, 30.0)
+            await service.drain()
+            woken, elapsed = await _woken(task)
+            # A long-poll that arrives while draining does not park.
+            tick = time.monotonic()
+            late = await service.wait_terminal(record.id, 30.0)
+            return woken, elapsed, late, time.monotonic() - tick
+
+        woken, elapsed, late, late_elapsed = asyncio.run(scenario())
+        assert woken.state == JobState.QUEUED
+        assert late.state == JobState.QUEUED
+        assert elapsed < 1.0 and late_elapsed < 1.0
+
+    def test_wait_is_clamped_to_the_long_poll_cap(self, tmp_path,
+                                                  monkeypatch):
+        assert service_module.MAX_WAIT == 60.0
+        monkeypatch.setattr(service_module, "MAX_WAIT", 0.2)
+
+        async def scenario():
+            service = _service(tmp_path, local_exec=False)
+            await service.start()
+            record = service.submit({"workload": "va"})
+            tick = time.monotonic()
+            capped = await service.wait_terminal(record.id, 1e9)
+            capped_elapsed = time.monotonic() - tick
+            tick = time.monotonic()
+            await service.wait_terminal(record.id, -5.0)
+            negative_elapsed = time.monotonic() - tick
+            with pytest.raises(UnknownJobError):
+                await service.wait_terminal("j99999-nope", 30.0)
+            await service.drain()
+            return capped, capped_elapsed, negative_elapsed
+
+        capped, capped_elapsed, negative_elapsed = asyncio.run(scenario())
+        assert capped.state == JobState.QUEUED
+        assert 0.2 <= capped_elapsed < 2.0
+        assert negative_elapsed < 0.1
+
+    def test_no_watchers_left_behind(self, tmp_path):
+        async def scenario():
+            service = _service(tmp_path, local_exec=False)
+            await service.start()
+            record = service.submit({"workload": "va"})
+            await service.wait_terminal(record.id, 0.05)
+            parked_after_timeout = dict(service._watchers)
+            task = await _park(service, record.id, 30.0)
+            service.cancel(record.id)
+            await _woken(task)
+            await service.drain()
+            return parked_after_timeout, dict(service._watchers)
+
+        after_timeout, after_cancel = asyncio.run(scenario())
+        assert after_timeout == {} and after_cancel == {}

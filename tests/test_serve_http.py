@@ -4,17 +4,23 @@ Boots the real asyncio server (ephemeral port) in a background thread
 and drives it with the real :class:`repro.serve.ServeClient` — the same
 path the CLI and the CI smoke job use.  Covers the route surface, the
 typed error mapping (400/404/405/409/429/503), the Chrome-trace
-endpoint, and daemon-vs-foreground result bit-identity.
+endpoint, daemon-vs-foreground result bit-identity, and the status
+long-poll (``GET /jobs/{id}?wait=S``) that :meth:`ServeClient.watch`
+rides.
 """
 
 import asyncio
+import json
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.gpu.config import GpuConfig
 from repro.kernels import WORKLOAD_REGISTRY, run_workload
 from repro.serve import JobSpec, ServeClient, ServeClientError, result_payload
+from repro.serve import service as service_module
 from repro.serve.http import serve_forever
 from repro.serve.service import JobService
 from repro.telemetry.chrome_trace import validate_chrome_trace
@@ -34,20 +40,22 @@ class DaemonHandle:
         return ServeClient(port=self.port, client_id=client_id)
 
     def shutdown(self):
+        if not self._thread.is_alive():
+            return
         self._loop.call_soon_threadsafe(self._stop.set)
         self._thread.join(timeout=30)
         assert not self._thread.is_alive(), "daemon failed to drain"
 
 
-@pytest.fixture()
-def daemon(tmp_path):
-    """A real daemon on an ephemeral port, drained at teardown."""
+def _start_daemon(tmp_path, **service_kwargs):
+    """Serve one :class:`JobService` from a background thread."""
     box = {}
     started = threading.Event()
 
     def run():
         async def main():
-            service = JobService(tmp_path / "data", cache=tmp_path / "cache")
+            service = JobService(tmp_path / "data", cache=tmp_path / "cache",
+                                 **service_kwargs)
             stop = asyncio.Event()
             box.update(service=service, stop=stop,
                        loop=asyncio.get_running_loop())
@@ -64,10 +72,76 @@ def daemon(tmp_path):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     assert started.wait(timeout=30), "daemon did not start"
-    handle = DaemonHandle(box["service"], box["port"], box["loop"],
-                          box["stop"], thread)
+    return DaemonHandle(box["service"], box["port"], box["loop"],
+                        box["stop"], thread)
+
+
+@pytest.fixture()
+def daemon(tmp_path):
+    """A real daemon on an ephemeral port, drained at teardown."""
+    handle = _start_daemon(tmp_path)
     yield handle
     handle.shutdown()
+
+
+@pytest.fixture()
+def coordinator(tmp_path):
+    """A daemon that never executes locally: its jobs stay queued until
+    the test resolves them through the worker endpoints."""
+    handle = _start_daemon(tmp_path, local_exec=False)
+    yield handle
+    handle.shutdown()
+
+
+def _raw_request(port, head):
+    """Send raw request bytes; returns (status, decoded JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(head)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head_bytes, _, body = data.partition(b"\r\n\r\n")
+    return int(head_bytes.split()[1]), json.loads(body)
+
+
+def _timed(call):
+    """(call(), seconds it took)."""
+    tick = time.monotonic()
+    value = call()
+    return value, time.monotonic() - tick
+
+
+def _resolve_remotely(port, job_id, delay):
+    """After *delay* seconds, lease *job_id* and post a result for it,
+    as a ``repro worker`` would (runs on a thread)."""
+    def work():
+        time.sleep(delay)
+        worker = ServeClient(port=port, client_id="wtest")
+        grant, = worker.lease("wtest")["leases"]
+        assert grant["id"] == job_id
+        worker.post_result(job_id, "wtest", grant["fence"],
+                           {"schema": 1, "workload": "va",
+                            "buffers_digest": "d-x"})
+
+    thread = threading.Thread(target=work, daemon=True)
+    thread.start()
+    return thread
+
+
+class StatusCounter(ServeClient):
+    """Counts status calls through the single-argument ``status``
+    override, the shape perfbench's ``TimedClient`` has."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.status_calls = 0
+
+    def status(self, job_id):
+        self.status_calls += 1
+        return super().status(job_id)
 
 
 class TestRoutes:
@@ -191,6 +265,15 @@ class TestErrorMapping:
             client.request("PUT", "/jobs")
         assert excinfo.value.status == 405
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, daemon, length):
+        status, body = _raw_request(
+            daemon.port,
+            f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n"
+            f"Connection: close\r\n\r\n".encode("ascii"))
+        assert status == 400, body
+        assert "Content-Length" in body["error"]
+
     def test_unreachable_daemon_is_typed(self):
         client = ServeClient(port=1, timeout=0.5)
         with pytest.raises(ServeClientError) as excinfo:
@@ -288,3 +371,84 @@ class TestCacheEndpoints:
         with pytest.raises(ServeClientError) as excinfo:
             client.request("DELETE", "/cache/whatever")
         assert excinfo.value.status == 405
+
+
+class TestStatusLongPoll:
+    """``GET /jobs/{id}?wait=S`` against a coordinator-only daemon."""
+
+    def test_bad_wait_is_400(self, coordinator):
+        client = coordinator.client()
+        job = client.submit({"workload": "va"})
+        for bad in ("abc", "1s"):
+            with pytest.raises(ServeClientError) as excinfo:
+                client.request("GET", f"/jobs/{job['id']}?wait={bad}")
+            assert excinfo.value.status == 400
+
+    def test_wait_above_the_cap_is_capped(self, coordinator, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_WAIT", 0.3)
+        client = coordinator.client()
+        job = client.submit({"workload": "va"})
+        status, elapsed = _timed(lambda: client.request(
+            "GET", f"/jobs/{job['id']}?wait=1000"))
+        assert status["state"] == "queued"
+        assert 0.3 <= elapsed < 5.0
+        # Without ?wait the status GET stays an immediate query.
+        status, elapsed = _timed(lambda: client.status(job["id"]))
+        assert status["state"] == "queued" and elapsed < 0.3
+
+    def test_unknown_job_is_an_immediate_404(self, coordinator):
+        client = coordinator.client()
+        tick = time.monotonic()
+        with pytest.raises(ServeClientError) as excinfo:
+            client.request("GET", "/jobs/j00000-missing?wait=30")
+        assert excinfo.value.status == 404
+        assert time.monotonic() - tick < 5.0
+
+    def test_drain_releases_a_parked_status_request(self, coordinator):
+        client = coordinator.client()
+        job = client.submit({"workload": "va"})
+        box = {}
+
+        def park():
+            box["status"], box["elapsed"] = _timed(lambda: client.request(
+                "GET", f"/jobs/{job['id']}?wait=30"))
+
+        thread = threading.Thread(target=park, daemon=True)
+        thread.start()
+        time.sleep(0.3)
+        coordinator.shutdown()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert box["status"]["state"] == "queued"
+        assert box["elapsed"] < 5.0
+
+
+class TestWatchLongPoll:
+    """``ServeClient.watch`` long-polls instead of sleeping between polls."""
+
+    def test_one_status_call_per_job_done_inside_the_window(self,
+                                                            coordinator):
+        client = StatusCounter(port=coordinator.port, client_id="pytest")
+        job = client.submit({"workload": "va"})
+        worker = _resolve_remotely(coordinator.port, job["id"], delay=0.6)
+        final = client.watch(job["id"], timeout=30)
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert final["state"] == "done"
+        assert client.status_calls == 1
+        # A terminal job answers the one call at once.
+        assert client.watch(job["id"], timeout=30)["state"] == "done"
+        assert client.status_calls == 2
+
+    def test_window_stays_below_the_socket_timeout(self, coordinator):
+        client = StatusCounter(port=coordinator.port, client_id="pytest",
+                               timeout=2.0)
+        job = client.submit({"workload": "va"})
+        with pytest.raises(ServeClientError) as excinfo:
+            client.watch(job["id"], timeout=2.5)
+        assert excinfo.value.status == 0
+        assert "still 'queued'" in str(excinfo.value)
+        assert client.retries_attempted == 0
+        assert client.status_calls <= 3
+        # watch leaves no window behind: status is a plain query again.
+        assert _timed(lambda: client.status(job["id"]))[1] < 0.5
